@@ -4,23 +4,26 @@ The router speaks the *same* JSON-lines wire protocol as a single
 ``repro serve`` process (:mod:`repro.serve.protocol`), so every
 existing client — ``repro query``, :class:`~repro.serve.client.ServeClient`,
 a scheduler with a socket — talks to a cluster by changing nothing but
-the port.  Behind the socket each op is routed by kind:
+the port.  Behind the socket each op is routed by the ``route`` of its
+:class:`~repro.serve.protocol.OpSpec`:
 
-* **single-machine reads** (``predict``, ``horizon``) go to the
-  machine's primary owner on the hash ring; on a connection error or a
+* **single** reads (``predict``, ``job_status``, ...) go to the key's
+  primary owner on the hash ring; on a connection error or a
   backpressure answer (``shed`` / ``shutting_down``) the router fails
   over to the next replica transparently, so a SIGKILLed backend costs
   the client nothing but latency;
-* **fan-out reads** (``rank``, ``select``) scatter to every live node
-  and merge: replicas report the same machine twice, the merge dedups,
-  and ``select`` re-runs the top-k + gang-survival math on the merged
-  TR map so its answer is identical to a single-node deployment;
-* **writes** (``register``, ``extend``) fan out to *all* R owners of
-  the machine and succeed only with a write quorum of ⌈(R+1)/2⌉ acks —
+* **scatter** reads (``rank``, ``select``, ``quality``, ...) go to every
+  live node and the op's merge function combines the answers: replicas
+  report the same machine twice, the merge dedups, and ``select``
+  re-runs the top-k + gang-survival math on the merged TR map so its
+  answer is identical to a single-node deployment (**broadcast** is the
+  same fan-out without the shard report);
+* **writes** (``register``, ``cancel``, ...) fan out to *all* R owners
+  of the key and succeed only with a write quorum of ⌈(R+1)/2⌉ acks —
   for the default R=2 that is both replicas, which is what lets a
   restarted node warm-start from its own store and still hold every
   byte it ever acknowledged;
-* **health** is answered by the router itself with the cluster view
+* **local** ``health`` is answered by the router itself with the cluster view
   (per-node up/down, ring shape) — it must work while backends are
   down, because it is how operators see that they are down.
 
@@ -34,8 +37,8 @@ from __future__ import annotations
 import asyncio
 import itertools
 import time
-from dataclasses import dataclass
-from typing import Any, Mapping
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Mapping
 
 from repro.adapt.controller import merge_adapt_status
 from repro.audit.scoreboard import merge_quality
@@ -47,6 +50,7 @@ from repro.obs.instruments import instrument
 from repro.obs.tracing import TraceContext, current_context, start_span, use_context
 from repro.serve.protocol import (
     MAX_LINE_BYTES,
+    OP_SPECS,
     PROTOCOL_VERSION,
     STATUS_ERROR,
     ProtocolError,
@@ -57,34 +61,139 @@ from repro.serve.protocol import (
 
 __all__ = ["RouterConfig", "ClusterRouter"]
 
-#: Ops answered by proxying to the single owning replica set.
-_SINGLE_MACHINE_OPS = frozenset({"predict", "horizon", "tail"})
-#: Ops answered by scatter-gather across every shard.
-_SCATTER_OPS = frozenset({"rank", "select"})
-#: Fleet batch ops (protocol v7): each shard answers for the machines it
-#: owns (``missing_ok``) and the router merges the per-machine entries.
-_FLEET_OPS = frozenset({"predict_batch", "fleet_scan"})
-#: Ops merged from per-node audit state (never deduplicated: each node
-#: journaled only the predictions it served).
-_QUALITY_OPS = frozenset({"quality"})
-#: Ops fanned out to all R owners under a write quorum.
-_WRITE_OPS = frozenset({"register", "extend"})
-#: Scheduling ops owned by the *job* key's replica set (protocol v5).
-#: ``job_status`` proxies with failover; ``cancel`` and ``job_put`` are
-#: quorum writes so every owner's JobManager converges.
-_JOB_SINGLE_OPS = frozenset({"job_status"})
-_JOB_WRITE_OPS = frozenset({"cancel", "job_put"})
-#: ``jobs`` scatters to every live node and dedups by job id.
-_JOB_SCATTER_OPS = frozenset({"jobs"})
-#: ``replace`` broadcasts to every live node (each JobManager re-places
-#: its own affected jobs); also triggered internally on node death.
-_JOB_BROADCAST_OPS = frozenset({"replace"})
-#: Adapt-tier state is per-node like audit state: scatter and merge.
-_ADAPT_STATUS_OPS = frozenset({"adapt_status"})
-#: Retune/promote change the machine's serving model, which lives on
-#: every owner of the machine — quorum writes, but they never touch the
-#: machine catalog (they create no history).
-_ADAPT_WRITE_OPS = frozenset({"adapt_retune", "adapt_promote"})
+# ---------------------------------------------------------------------- #
+# scatter merges: pure functions of the nodes' answers and the parsed
+# request params, named by each scatter/broadcast op's OpSpec.merge
+# ---------------------------------------------------------------------- #
+
+
+#: The nodes' ``ok`` results of one fan-out.
+_Answers = list[Mapping[str, Any]]
+
+
+def _tr_map(answers: _Answers) -> dict[str, float]:
+    trs: dict[str, float] = {}
+    for answer in answers:
+        for entry in answer["ranking"]:
+            # Replicas answer from byte-identical histories; first
+            # answer wins, duplicates are dropped.
+            trs.setdefault(entry["machine"], entry["tr"])
+    return trs
+
+
+def merge_rank(answers: _Answers, params: Mapping[str, Any]) -> dict[str, Any]:
+    """The shards' rankings as one, best first."""
+    order = sorted(_tr_map(answers).items(), key=lambda kv: (-kv[1], kv[0]))
+    return {"ranking": [{"machine": m, "tr": tr} for m, tr in order]}
+
+
+def merge_select(answers: _Answers, params: Mapping[str, Any]) -> dict[str, Any]:
+    """Top-k and gang survival re-derived on the merged TR map.
+
+    The backend math is top-k over the *global* TR map, so select
+    scatters as ``rank`` and the answer equals a single-node one.
+    """
+    trs = _tr_map(answers)
+    chosen = select_best_k(trs, params["k"])
+    return {
+        "machines": chosen,
+        "survival": group_survival([trs[m] for m in chosen]),
+        "k": params["k"],
+    }
+
+
+def _machine_entries(
+    answers: _Answers, key: str, params: Mapping[str, Any]
+) -> dict[str, Mapping[str, Any]]:
+    """Per-machine entries of a fleet batch op, first answer per machine.
+
+    Each shard ran *one* batched kernel solve over the machines it owns,
+    so a cluster-wide fleet op costs one matrix pass per shard instead of
+    N scalar predicts.
+    """
+    merged: dict[str, Mapping[str, Any]] = {}
+    for answer in answers:
+        for entry in answer.get(key, ()):
+            merged.setdefault(str(entry["machine"]), entry)
+    if params["machines"] is not None:
+        missing = sorted(set(params["machines"]) - merged.keys())
+        if missing:
+            raise ProtocolError(f"machines not registered: {', '.join(missing)}")
+    return merged
+
+
+def merge_predict_batch(answers: _Answers, params: Mapping[str, Any]) -> dict[str, Any]:
+    merged = _machine_entries(answers, "predictions", params)
+    return {"predictions": [merged[m] for m in sorted(merged)], "count": len(merged)}
+
+
+def merge_fleet_scan(answers: _Answers, params: Mapping[str, Any]) -> dict[str, Any]:
+    merged = _machine_entries(answers, "machines", params)
+    entries = sorted(
+        merged.values(), key=lambda e: (-float(e["tr"]), str(e["machine"]))
+    )
+    return {
+        "machines": entries,
+        "count": len(entries),
+        "horizons_hours": answers[0].get("horizons_hours", []),
+    }
+
+
+def merge_jobs(answers: _Answers, params: Mapping[str, Any]) -> dict[str, Any]:
+    """The nodes' job tables as one, deduplicated by job id.
+
+    Replicas of a job may lag one transition apart (e.g. a refresh
+    discovered a completion on one owner first); the merge keeps the
+    copy with the highest ``(version, lifecycle stage)``.
+    """
+    from repro.sched.jobs import STATE_RANK
+
+    merged: dict[str, Mapping[str, Any]] = {}
+    for answer in answers:
+        for record in answer.get("jobs", ()):
+            job_id = str(record["job"])
+            current = merged.get(job_id)
+            if current is None or (
+                (record["version"], STATE_RANK.get(record["state"], 0))
+                > (current["version"], STATE_RANK.get(current["state"], 0))
+            ):
+                merged[job_id] = record
+    records = [merged[j] for j in sorted(merged)]
+    states: dict[str, int] = {}
+    for record in records:
+        states[record["state"]] = states.get(record["state"], 0) + 1
+    return {"jobs": records, "stats": {"jobs": len(records), "states": states}}
+
+
+def merge_replace(answers: _Answers, params: Mapping[str, Any]) -> dict[str, Any]:
+    """Sum the re-placement counts of every node's JobManager."""
+    replaced = 0
+    actions: dict[str, int] = {}
+    restored: set[str] = set()
+    for answer in answers:
+        replaced += int(answer.get("replaced", 0))
+        for action, count in (answer.get("actions") or {}).items():
+            actions[action] = actions.get(action, 0) + int(count)
+        restored.update(answer.get("restored") or ())
+    return {
+        "replaced": replaced,
+        "actions": actions,
+        "restored": sorted(restored),
+        "nodes": len(answers),
+    }
+
+
+#: Every merge an ``OpSpec.merge`` may name.  Audit and adapt state is
+#: per-node, never replicated, so those answers are summed by the
+#: packages that own the state.
+_MERGES: dict[str, Callable[[_Answers, Mapping[str, Any]], dict[str, Any]]] = {
+    "merge_quality": lambda answers, _params: merge_quality(answers),
+    "merge_adapt_status": lambda answers, _params: merge_adapt_status(answers),
+    **{merge.__name__: merge for merge in (
+        merge_rank, merge_select, merge_predict_batch, merge_fleet_scan,
+        merge_jobs, merge_replace,
+    )},
+}
 
 
 @dataclass(frozen=True)
@@ -201,6 +310,24 @@ class _BackendPool:
             for _, writer in conns:
                 await _close_quietly(writer)
         self._idle.clear()
+
+
+def _relayed(request: Request, resp: Response) -> Response:
+    """A backend's answer re-addressed to the client's request."""
+    return replace(
+        resp, id=request.id, elapsed_ms=None, version=PROTOCOL_VERSION
+    )
+
+
+def _answered(results: list[Any]) -> list[Response]:
+    """The responses of a fan-out: unreachable nodes are dropped, any
+    other exception (a routing bug) is re-raised."""
+    for result in results:
+        if isinstance(result, BaseException) and not isinstance(
+            result, (OSError, asyncio.TimeoutError)
+        ):
+            raise result
+    return [result for result in results if isinstance(result, Response)]
 
 
 async def _close_quietly(writer: asyncio.StreamWriter) -> None:
@@ -336,9 +463,10 @@ class ClusterRouter:
     ) -> None:
         t0 = time.perf_counter()
         op = "invalid"
+        request_id = ""
         try:
             request = Request.decode(line)
-            op = request.op
+            op, request_id = request.op, request.id
             if request.trace is not None:
                 # Adopt the client's context for this task: every span
                 # below (and every forwarded backend call) joins its trace.
@@ -347,22 +475,15 @@ class ClusterRouter:
                     response = await self._route(request)
             else:
                 response = await self._route(request)
-        except ProtocolError as exc:
-            response = Response.failure("", STATUS_ERROR, "ProtocolError", str(exc))
-        except Exception as exc:  # routing bug: answer, don't drop the line
+        except Exception as exc:  # malformed request or routing bug: answer
             response = Response.failure(
-                "", STATUS_ERROR, type(exc).__name__, str(exc)
+                request_id, STATUS_ERROR, type(exc).__name__, str(exc)
             )
         outcome = "ok" if response.ok else response.status
         instrument("cluster_requests_routed_total").labels(op=op, outcome=outcome).inc()
         if response.elapsed_ms is None:
-            response = Response(
-                id=response.id,
-                status=response.status,
-                result=response.result,
-                error=response.error,
-                coalesced=response.coalesced,
-                elapsed_ms=(time.perf_counter() - t0) * 1e3,
+            response = replace(
+                response, elapsed_ms=(time.perf_counter() - t0) * 1e3
             )
         async with write_lock:
             if writer.is_closing():
@@ -378,36 +499,16 @@ class ClusterRouter:
     # ------------------------------------------------------------------ #
 
     async def _route(self, request: Request) -> Response:
-        if request.op == "health":
-            return Response.success(request.id, self._cluster_health())
-        if request.op in _SINGLE_MACHINE_OPS:
-            return await self._route_single(request)
-        if request.op in _SCATTER_OPS:
-            return await self._route_scatter(request)
-        if request.op in _FLEET_OPS:
-            return await self._route_fleet(request)
-        if request.op in _QUALITY_OPS:
-            return await self._route_quality(request)
-        if request.op in _WRITE_OPS:
-            return await self._route_write(request)
-        if request.op == "submit":
+        spec = OP_SPECS[request.op]
+        if spec.name == "submit":
             return await self._route_submit(request)
-        if request.op in _JOB_SINGLE_OPS:
+        if spec.route == "local":
+            return Response.success(request.id, self._cluster_health())
+        if spec.route == "single":
             return await self._route_single(request)
-        if request.op in _JOB_WRITE_OPS:
+        if spec.route == "write":
             return await self._route_write(request)
-        if request.op in _JOB_SCATTER_OPS:
-            return await self._route_jobs(request)
-        if request.op in _JOB_BROADCAST_OPS:
-            return await self._route_broadcast(request)
-        if request.op in _ADAPT_STATUS_OPS:
-            return await self._route_adapt_status(request)
-        if request.op in _ADAPT_WRITE_OPS:
-            return await self._route_write(request)
-        return Response.failure(
-            request.id, STATUS_ERROR, "ProtocolError",
-            f"op {request.op!r} is not routable"
-        )
+        return await self._gather(request)
 
     async def _call_timed(self, node_id: str, request: Request) -> Response:
         t0 = time.perf_counter()
@@ -427,23 +528,20 @@ class ClusterRouter:
         with start_span("router.call", "router", node=node_id, **attrs):
             return await self._call_timed(node_id, request)
 
-    def _owner_key(self, request: Request) -> str:
-        # Job ops shard by the job id (prefixed so job and machine key
-        # spaces never collide on the ring); everything else by machine.
-        if request.op == "job_put":
-            record = request.params.get("record")
-            if not isinstance(record, Mapping) or "job" not in record:
-                raise ProtocolError("job_put needs params['record']['job']")
-            return f"job:{record['job']}"
-        if request.op in ("submit", "job_status", "cancel"):
-            job = request.params.get("job")
-            if job is None:
-                raise ProtocolError(f"missing required param 'job' for {request.op!r}")
-            return f"job:{job}"
-        machine = request.params.get("machine")
-        if machine is None:
-            raise ProtocolError(f"missing required param 'machine' for {request.op!r}")
-        return str(machine)
+    @staticmethod
+    def _owner_key(request: Request) -> str:
+        """The ring key of a ``single``/``write`` op (its ``OpSpec.key``)."""
+        spec = OP_SPECS[request.op]
+        value: Any = request.params
+        for part in spec.key.split("."):
+            value = value.get(part) if isinstance(value, Mapping) else None
+        if value is None:
+            raise ProtocolError(
+                f"missing required param {spec.key!r} for {request.op!r}"
+            )
+        # Job ops shard by the job id, prefixed so job and machine key
+        # spaces never collide on the ring.
+        return f"job:{value}" if spec.key.endswith("job") else str(value)
 
     async def _route_single(self, request: Request) -> Response:
         """Proxy to the owning replica set, failing over in ring order."""
@@ -472,35 +570,36 @@ class ClusterRouter:
                     instrument("cluster_failovers_total").inc()
                 continue
             # ok — or a semantic error the next replica would repeat.
-            return Response(
-                id=request.id,
-                status=resp.status,
-                result=resp.result,
-                error=resp.error,
-                coalesced=resp.coalesced,
-            )
+            return _relayed(request, resp)
         if backpressure is not None:
-            return Response(
-                id=request.id,
-                status=backpressure.status,
-                error=backpressure.error,
-            )
+            return _relayed(request, backpressure)
         return Response.failure(
             request.id, STATUS_ERROR, "NoReplicaAvailable",
             f"all {len(owners)} replicas of "
             f"{self._owner_key(request)!r} are unreachable",
         )
 
-    async def _route_scatter(self, request: Request) -> Response:
-        """Scatter ``rank``/``select`` to every live shard and merge."""
+    async def _gather(self, request: Request) -> Response:
+        """Scatter (or broadcast) one op to every live node and merge.
+
+        Each node answers from its own state — the machines it owns, the
+        predictions it journaled, its jobs — and the op's merge function
+        combines the answers; a scatter result also reports how many
+        shards answered.  Nodes that are unreachable are skipped.
+        """
+        spec = OP_SPECS[request.op]
+        # Parsed up front: a malformed request is refused before fan-out,
+        # and the merge reads typed params (select's k, fleet machines).
+        params = spec.parse(request.params)
         targets = self.membership.up_nodes() or self.membership.node_ids
-        # The backend math for select is top-k over the *global* TR map,
-        # so both ops scatter as `rank` and the router re-derives select.
+        forwarded = dict(request.params)
+        if "missing_ok" in params:
+            # Each shard answers for the machines it owns and skips the
+            # ids that live on other shards.
+            forwarded["missing_ok"] = True
         scatter = Request(
-            op="rank",
-            params={
-                k: v for k, v in request.params.items() if k != "k"
-            },
+            op=spec.scatter_as or spec.name,
+            params=forwarded,
             deadline_ms=request.deadline_ms,
         )
         with start_span("router.scatter", "router", op=request.op, targets=len(targets)):
@@ -508,215 +607,24 @@ class ClusterRouter:
                 *(self._call_traced(n, scatter) for n in targets),
                 return_exceptions=True,
             )
-        trs: dict[str, float] = {}
-        errors: list[Response] = []
-        nodes_ok = 0
-        for resp in results:
-            if isinstance(resp, BaseException):
-                if not isinstance(resp, (OSError, asyncio.TimeoutError)):
-                    raise resp
-                continue
-            if not resp.ok:
-                errors.append(resp)
-                continue
-            nodes_ok += 1
-            for entry in resp.result["ranking"]:
-                # Replicas answer from byte-identical histories; first
-                # answer wins, duplicates are dropped.
-                trs.setdefault(entry["machine"], entry["tr"])
-        if nodes_ok == 0:
+        answered = _answered(results)
+        answers = [resp.result for resp in answered if resp.ok]
+        errors = [resp for resp in answered if not resp.ok]
+        if not answers:
             if errors:
-                first = errors[0]
-                return Response(
-                    id=request.id, status=first.status, error=first.error
-                )
+                return _relayed(request, errors[0])
             return Response.failure(
                 request.id, STATUS_ERROR, "NoReplicaAvailable",
-                "no shard answered the scatter",
+                f"no node answered the {request.op} {spec.route}",
             )
-        shards = {"queried": len(targets), "ok": nodes_ok,
-                  "partial": nodes_ok < len(targets)}
-        if request.op == "rank":
-            order = sorted(trs.items(), key=lambda kv: (-kv[1], kv[0]))
-            result: dict[str, Any] = {
-                "ranking": [{"machine": m, "tr": tr} for m, tr in order],
-                "shards": shards,
+        result = _MERGES[spec.merge](answers, params)
+        if spec.route == "scatter":
+            result["shards"] = {
+                "queried": len(targets),
+                "ok": len(answers),
+                "partial": len(answers) < len(targets),
             }
-            return Response.success(request.id, result)
-        k = int(request.params.get("k", 1))
-        try:
-            chosen = select_best_k(trs, k)
-        except ValueError as exc:
-            return Response.failure(
-                request.id, STATUS_ERROR, "ValueError", str(exc)
-            )
-        return Response.success(
-            request.id,
-            {
-                "machines": chosen,
-                "survival": group_survival([trs[m] for m in chosen]),
-                "k": k,
-                "shards": shards,
-            },
-        )
-
-    async def _route_fleet(self, request: Request) -> Response:
-        """Scatter a fleet batch op to every live shard and merge.
-
-        Each shard runs *one* batched kernel solve over the machines it
-        owns (``missing_ok`` makes it skip ids on other shards), so a
-        cluster-wide ``fleet_scan`` costs one matrix pass per shard
-        instead of N scalar predicts.  Replicas answer from
-        byte-identical histories, so the first answer per machine wins.
-        """
-        targets = self.membership.up_nodes() or self.membership.node_ids
-        scatter = Request(
-            op=request.op,
-            params=dict(request.params, missing_ok=True),
-            deadline_ms=request.deadline_ms,
-        )
-        with start_span("router.scatter", "router", op=request.op, targets=len(targets)):
-            results = await asyncio.gather(
-                *(self._call_traced(n, scatter) for n in targets),
-                return_exceptions=True,
-            )
-        key = "predictions" if request.op == "predict_batch" else "machines"
-        merged: dict[str, Mapping[str, Any]] = {}
-        errors: list[Response] = []
-        nodes_ok = 0
-        for resp in results:
-            if isinstance(resp, BaseException):
-                if not isinstance(resp, (OSError, asyncio.TimeoutError)):
-                    raise resp
-                continue
-            if not resp.ok:
-                errors.append(resp)
-                continue
-            nodes_ok += 1
-            for entry in resp.result.get(key, ()):
-                merged.setdefault(str(entry["machine"]), entry)
-        if nodes_ok == 0:
-            if errors:
-                first = errors[0]
-                return Response(id=request.id, status=first.status, error=first.error)
-            return Response.failure(
-                request.id, STATUS_ERROR, "NoReplicaAvailable",
-                f"no shard answered the {request.op} scatter",
-            )
-        requested = request.params.get("machines")
-        if requested is not None:
-            missing = sorted(
-                {str(m) for m in requested} - merged.keys()
-            )
-            if missing:
-                return Response.failure(
-                    request.id, STATUS_ERROR, "ProtocolError",
-                    f"machines not registered: {', '.join(missing)}",
-                )
-        shards = {"queried": len(targets), "ok": nodes_ok,
-                  "partial": nodes_ok < len(targets)}
-        if request.op == "predict_batch":
-            entries = [merged[m] for m in sorted(merged)]
-        else:
-            entries = sorted(
-                merged.values(), key=lambda e: (-float(e["tr"]), str(e["machine"]))
-            )
-        result: dict[str, Any] = {
-            key: entries,
-            "count": len(entries),
-            "shards": shards,
-        }
-        for resp in results:
-            if isinstance(resp, Response) and resp.ok:
-                if "horizons_hours" in (resp.result or {}):
-                    result["horizons_hours"] = resp.result["horizons_hours"]
-                break
         return Response.success(request.id, result)
-
-    async def _route_quality(self, request: Request) -> Response:
-        """Scatter ``quality`` to every live node and merge the bins.
-
-        Audit state is per-node, not replicated: a machine's R owners
-        each journaled the subset of predictions *they* served, so the
-        per-bin sufficient statistics are summed across nodes — for the
-        aggregate and per machine — and the pooled metrics re-derived.
-        """
-        targets = self.membership.up_nodes() or self.membership.node_ids
-        with start_span("router.scatter", "router", op=request.op, targets=len(targets)):
-            results = await asyncio.gather(
-                *(self._call_traced(n, request) for n in targets),
-                return_exceptions=True,
-            )
-        answers: list[Mapping[str, Any]] = []
-        errors: list[Response] = []
-        nodes_ok = 0
-        for resp in results:
-            if isinstance(resp, BaseException):
-                if not isinstance(resp, (OSError, asyncio.TimeoutError)):
-                    raise resp
-                continue
-            if not resp.ok:
-                errors.append(resp)
-                continue
-            nodes_ok += 1
-            answers.append(resp.result)
-        if nodes_ok == 0:
-            if errors:
-                first = errors[0]
-                return Response(id=request.id, status=first.status, error=first.error)
-            return Response.failure(
-                request.id, STATUS_ERROR, "NoReplicaAvailable",
-                "no shard answered the quality scatter",
-            )
-        merged = merge_quality(answers)
-        merged["shards"] = {
-            "queried": len(targets),
-            "ok": nodes_ok,
-            "partial": nodes_ok < len(targets),
-        }
-        return Response.success(request.id, merged)
-
-    async def _route_adapt_status(self, request: Request) -> Response:
-        """Scatter ``adapt_status`` to every live node and merge.
-
-        Adapt state is per-node (each owner runs its own trials for the
-        machines it serves); counters sum and machine entries union,
-        keeping the entry that saw the most retunes.
-        """
-        targets = self.membership.up_nodes() or self.membership.node_ids
-        with start_span("router.scatter", "router", op=request.op, targets=len(targets)):
-            results = await asyncio.gather(
-                *(self._call_traced(n, request) for n in targets),
-                return_exceptions=True,
-            )
-        answers: list[dict[str, Any]] = []
-        errors: list[Response] = []
-        nodes_ok = 0
-        for resp in results:
-            if isinstance(resp, BaseException):
-                if not isinstance(resp, (OSError, asyncio.TimeoutError)):
-                    raise resp
-                continue
-            if not resp.ok:
-                errors.append(resp)
-                continue
-            nodes_ok += 1
-            answers.append(resp.result)
-        if nodes_ok == 0:
-            if errors:
-                first = errors[0]
-                return Response(id=request.id, status=first.status, error=first.error)
-            return Response.failure(
-                request.id, STATUS_ERROR, "NoReplicaAvailable",
-                "no shard answered the adapt_status scatter",
-            )
-        merged = merge_adapt_status(answers)
-        merged["shards"] = {
-            "queried": len(targets),
-            "ok": nodes_ok,
-            "partial": nodes_ok < len(targets),
-        }
-        return Response.success(request.id, merged)
 
     async def _route_write(self, request: Request) -> Response:
         """Fan a write out to all R owners; ack only on a write quorum."""
@@ -736,22 +644,15 @@ class ClusterRouter:
             if sp is not None:
                 sp.set(acks=sum(1 for r in results
                                 if isinstance(r, Response) and r.ok))
-        acks: list[Response] = []
-        refusals: list[Response] = []
-        for resp in results:
-            if isinstance(resp, BaseException):
-                if not isinstance(resp, (OSError, asyncio.TimeoutError)):
-                    raise resp
-                continue
-            (acks if resp.ok else refusals).append(resp)
+        answered = _answered(results)
+        acks = [resp for resp in answered if resp.ok]
+        refusals = [resp for resp in answered if not resp.ok]
         if len(acks) < quorum:
             # A semantic refusal (bad grid, gap) is the same on every
             # replica — surface it rather than a generic quorum error.
             for refusal in refusals:
                 if not refusal.backpressure:
-                    return Response(
-                        id=request.id, status=refusal.status, error=refusal.error
-                    )
+                    return _relayed(request, refusal)
             return Response.failure(
                 request.id, STATUS_ERROR, "QuorumNotMet",
                 f"write acknowledged by {len(acks)}/{len(owners)} replicas, "
@@ -767,9 +668,10 @@ class ClusterRouter:
             "required": quorum,
             "degraded": degraded,
         }
-        if request.op in _WRITE_OPS:
-            # An acknowledged history write makes this machine part of
-            # the placement pool the node-death hook reasons about.
+        if any(p.name == "load" for p in OP_SPECS[request.op].params):
+            # An acknowledged history write (it ships samples) makes this
+            # machine part of the placement pool the node-death hook
+            # reasons about.
             self._machine_catalog.add(self._owner_key(request))
         return Response.success(request.id, result)
 
@@ -800,118 +702,10 @@ class ClusterRouter:
         )
         replicated = await self._route_write(put)
         if not replicated.ok:
-            return Response(
-                id=request.id,
-                status=replicated.status,
-                error=replicated.error,
-            )
+            return _relayed(request, replicated)
         result = dict(placed.result)
         result["quorum"] = replicated.result.get("quorum")
         return Response.success(request.id, result)
-
-    async def _route_jobs(self, request: Request) -> Response:
-        """Scatter ``jobs`` to every live node; dedup records by job id.
-
-        Replicas of a job may lag one transition apart (e.g. a refresh
-        discovered a completion on one owner first); the merge keeps the
-        copy with the highest ``(version, lifecycle stage)``.
-        """
-        from repro.sched.jobs import STATE_RANK
-
-        targets = self.membership.up_nodes() or self.membership.node_ids
-        with start_span("router.scatter", "router", op=request.op, targets=len(targets)):
-            results = await asyncio.gather(
-                *(self._call_traced(n, request) for n in targets),
-                return_exceptions=True,
-            )
-        merged: dict[str, Mapping[str, Any]] = {}
-        errors: list[Response] = []
-        nodes_ok = 0
-        for resp in results:
-            if isinstance(resp, BaseException):
-                if not isinstance(resp, (OSError, asyncio.TimeoutError)):
-                    raise resp
-                continue
-            if not resp.ok:
-                errors.append(resp)
-                continue
-            nodes_ok += 1
-            for record in resp.result.get("jobs", ()):
-                job_id = str(record["job"])
-                current = merged.get(job_id)
-                if current is None or (
-                    (record["version"], STATE_RANK.get(record["state"], 0))
-                    > (current["version"], STATE_RANK.get(current["state"], 0))
-                ):
-                    merged[job_id] = record
-        if nodes_ok == 0:
-            if errors:
-                first = errors[0]
-                return Response(id=request.id, status=first.status, error=first.error)
-            return Response.failure(
-                request.id, STATUS_ERROR, "NoReplicaAvailable",
-                "no node answered the jobs scatter",
-            )
-        records = [merged[j] for j in sorted(merged)]
-        states: dict[str, int] = {}
-        for record in records:
-            states[record["state"]] = states.get(record["state"], 0) + 1
-        return Response.success(
-            request.id,
-            {
-                "jobs": records,
-                "stats": {"jobs": len(records), "states": states},
-                "shards": {
-                    "queried": len(targets),
-                    "ok": nodes_ok,
-                    "partial": nodes_ok < len(targets),
-                },
-            },
-        )
-
-    async def _route_broadcast(self, request: Request) -> Response:
-        """Broadcast ``replace`` to every live node and sum the counts."""
-        targets = self.membership.up_nodes() or self.membership.node_ids
-        with start_span("router.scatter", "router", op=request.op, targets=len(targets)):
-            results = await asyncio.gather(
-                *(self._call_traced(n, request) for n in targets),
-                return_exceptions=True,
-            )
-        replaced = 0
-        actions: dict[str, int] = {}
-        restored: set[str] = set()
-        nodes_ok = 0
-        errors: list[Response] = []
-        for resp in results:
-            if isinstance(resp, BaseException):
-                if not isinstance(resp, (OSError, asyncio.TimeoutError)):
-                    raise resp
-                continue
-            if not resp.ok:
-                errors.append(resp)
-                continue
-            nodes_ok += 1
-            replaced += int(resp.result.get("replaced", 0))
-            for action, count in (resp.result.get("actions") or {}).items():
-                actions[action] = actions.get(action, 0) + int(count)
-            restored.update(resp.result.get("restored") or ())
-        if nodes_ok == 0:
-            if errors:
-                first = errors[0]
-                return Response(id=request.id, status=first.status, error=first.error)
-            return Response.failure(
-                request.id, STATUS_ERROR, "NoReplicaAvailable",
-                "no node answered the replace broadcast",
-            )
-        return Response.success(
-            request.id,
-            {
-                "replaced": replaced,
-                "actions": actions,
-                "restored": sorted(restored),
-                "nodes": nodes_ok,
-            },
-        )
 
     # ------------------------------------------------------------------ #
     # node-death reaction (membership transition hooks)
@@ -945,7 +739,7 @@ class ClusterRouter:
     async def _replace_after_transition(self, request: Request, reason: str) -> None:
         with start_span("sched.replace", "router", reason=reason):
             try:
-                response = await self._route_broadcast(request)
+                response = await self._gather(request)
             except Exception as exc:
                 get_event_log().emit(
                     "cluster_replace_error",

@@ -9,10 +9,14 @@ deadlines and graceful drain.
 
 Layering::
 
-    protocol.py   wire format: Request/Response dataclasses, op set v1
-    dispatch.py   Dispatcher: coalescing + worker pool + backpressure
+    protocol.py   wire format: Request/Response dataclasses and the op
+                  table, OP_SPECS — one OpSpec per op, the single place
+                  an op is declared
+    dispatch.py   Dispatcher: coalescing + worker pool + backpressure;
+                  runs each op's gate, schema and _op_<name> handler
     server.py     ServeServer: asyncio TCP front-end
-    client.py     ServeClient (blocking) / AsyncServeClient (asyncio)
+    client.py     ServeClient (blocking) / AsyncServeClient (asyncio),
+                  one shared set of op methods
 
 Start a server from the CLI (``repro-fgcs serve``) or in-process::
 

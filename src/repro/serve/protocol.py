@@ -35,20 +35,30 @@ a worker reached it.
 
 This module is wire format only — no sockets, no service logic — so
 both the asyncio server and the sync/async clients share one source of
-truth for encoding and validation.
+truth for encoding and validation.  :data:`OP_SPECS` is the one place an
+op is declared; version gating, the dispatcher, the router, both clients
+and ``repro query`` derive from it, so adding an op is one
+:class:`OpSpec` plus one ``Dispatcher._op_<name>`` handler.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
+
+from repro.core.states import State
+from repro.core.windows import DayType
 
 __all__ = [
     "PROTOCOL_VERSION",
     "SUPPORTED_VERSIONS",
     "OPS",
     "OPS_BY_VERSION",
+    "OP_SPECS",
+    "OpSpec",
+    "Param",
     "min_version",
     "STATUSES",
     "STATUS_OK",
@@ -62,84 +72,15 @@ __all__ = [
     "Response",
 ]
 
-#: Current protocol version; bump when an op's contract changes.
-#: v1: predict/rank/select/horizon/register/health.
-#: v2: adds ``extend`` (stream a chunk of new samples for one machine).
-#: v3: adds ``quality`` (prediction-audit scoreboard snapshots).
-#: v4: adds the optional ``trace`` envelope field (distributed-tracing
-#:     context).  No new ops; the field may ride a request at *any*
-#:     version — pre-v4 servers decode with ``from_wire``, which ignores
-#:     unknown keys, so the envelope degrades silently on old peers.
-#: v5: adds the scheduling ops — ``submit``/``job_status``/``cancel``/
-#:     ``jobs`` for clients, plus the internal ``replace`` (node-death
-#:     re-placement broadcast) and ``job_put`` (job-record replication)
-#:     the cluster router uses.  A v4-or-older client sending any of
-#:     them gets the structured unsupported-version error.
-#: v6: adds ``tail`` (read the last N samples of one machine's history)
-#:     — the observability end of the live-ingestion pipeline: a monitor
-#:     agent (or an operator) verifies what the service actually holds
-#:     without racing the store files on disk.
-#: v7: adds the fleet batch ops — ``predict_batch`` (TR for many
-#:     machines in one request, served by one stacked Eq.-3 solve) and
-#:     ``fleet_scan`` (the full per-machine snapshot: TR, failure split,
-#:     optional sub-horizon TRs).  Replaces N scalar predicts for
-#:     rank/select-style consumers; a v6-or-older client sending either
-#:     gets the structured unsupported-version error.
-#: v8: adds the self-healing adapt ops — ``adapt_status`` (per-machine
-#:     retune/trial/fallback state; the router scatter-merges it),
-#:     ``adapt_retune`` (backtest the candidate grid for one machine and
-#:     open a shadow trial when a candidate wins) and ``adapt_promote``
-#:     (install the machine's challenger; margin-gated unless forced).
-#:     A v7-or-older client sending any of them gets the structured
-#:     unsupported-version error.
+#: Current protocol version; bump when an op's contract changes.  Each
+#: op's ``OpSpec.since`` names the version that introduced it.  v4
+#: added no op but the optional ``trace`` envelope field (distributed-
+#: tracing context), which may ride a request at *any* version — pre-v4
+#: servers decode with ``from_wire``, which ignores unknown keys, so
+#: the envelope degrades silently on old peers.  A client sending an op
+#: newer than the request's version gets the structured
+#: unsupported-version error.
 PROTOCOL_VERSION = 8
-
-#: The op set introduced by each protocol version.  A server validates a
-#: request's op against the *request's* version, so an old client is
-#: never answered with an op it cannot know about, and a new client
-#: talking to an old server gets a structured "unsupported version"
-#: error rather than a dropped connection.
-OPS_BY_VERSION: dict[int, frozenset[str]] = {
-    1: frozenset({"predict", "rank", "select", "horizon", "register", "health"}),
-}
-OPS_BY_VERSION[2] = OPS_BY_VERSION[1] | {"extend"}
-OPS_BY_VERSION[3] = OPS_BY_VERSION[2] | {"quality"}
-OPS_BY_VERSION[4] = OPS_BY_VERSION[3]  # v4 adds the trace envelope, no ops
-OPS_BY_VERSION[5] = OPS_BY_VERSION[4] | {
-    "submit",
-    "job_status",
-    "cancel",
-    "jobs",
-    "replace",
-    "job_put",
-}
-OPS_BY_VERSION[6] = OPS_BY_VERSION[5] | {"tail"}
-OPS_BY_VERSION[7] = OPS_BY_VERSION[6] | {"predict_batch", "fleet_scan"}
-OPS_BY_VERSION[8] = OPS_BY_VERSION[7] | {
-    "adapt_status",
-    "adapt_retune",
-    "adapt_promote",
-}
-
-#: Versions this build can answer.
-SUPPORTED_VERSIONS: frozenset[int] = frozenset(OPS_BY_VERSION)
-
-#: The full op set of the current version.
-OPS: frozenset[str] = OPS_BY_VERSION[PROTOCOL_VERSION]
-
-
-def min_version(op: str) -> int:
-    """The lowest protocol version that includes ``op``.
-
-    Clients send each request at this version so they stay compatible
-    with older servers for ops those servers already speak.
-    """
-    for version in sorted(OPS_BY_VERSION):
-        if op in OPS_BY_VERSION[version]:
-            return version
-    raise ProtocolError(
-        f"unknown op {op!r}; v{PROTOCOL_VERSION} ops: {', '.join(sorted(OPS))}"
-    )
 
 STATUS_OK = "ok"
 STATUS_ERROR = "error"
@@ -166,16 +107,250 @@ class ProtocolError(ValueError):
     """A request (or response) that violates the wire contract."""
 
 
+# ---------------------------------------------------------------------- #
+# the op table: the one place an op is declared
+# ---------------------------------------------------------------------- #
+
+
+def _finite(p: "Param", value: Any) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ProtocolError(f"{p.name!r} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ProtocolError(f"{p.name!r} must be finite, got {value!r}")
+    return float(value)
+
+
+def _positive(p: "Param", value: Any) -> float:
+    value = _finite(p, value)
+    if value <= 0:
+        raise ProtocolError(f"{p.name!r} must be positive, got {value!r}")
+    return value
+
+
+def _int(p: "Param", value: Any) -> int:
+    if isinstance(value, bool) or not (
+        isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    ):
+        raise ProtocolError(f"{p.name!r} must be an integer, got {value!r}")
+    if value < p.lo:
+        raise ProtocolError(f"{p.name} must be >= {p.lo}, got {value!r}")
+    return int(value)
+
+
+def _bool(p: "Param", value: Any) -> bool:
+    if not isinstance(value, bool):
+        raise ProtocolError(f"{p.name!r} must be true or false, got {value!r}")
+    return value
+
+
+def _str(p: "Param", value: Any) -> str:
+    if not isinstance(value, str):
+        raise ProtocolError(f"{p.name!r} must be a string, got {value!r}")
+    return value
+
+
+def _list(p: "Param", value: Any) -> list:
+    if not isinstance(value, (list, tuple)):
+        raise ProtocolError(f"{p.name!r} must be a list, got {type(value).__name__}")
+    return list(value)
+
+
+def _str_list(p: "Param", value: Any) -> list[str]:
+    return [_str(p, v) for v in _list(p, value)]
+
+
+def _positive_list(p: "Param", value: Any) -> list[float]:
+    return [_positive(p, v) for v in _list(p, value)]
+
+
+def _day_type(p: "Param", value: Any) -> DayType:
+    try:
+        return DayType(value)
+    except ValueError:
+        raise ProtocolError(
+            f"unknown day_type {value!r}; expected one of "
+            f"{[d.value for d in DayType]}"
+        ) from None
+
+
+def _init_state(p: "Param", value: Any) -> State:
+    try:
+        return State[_str(p, value).upper()]
+    except KeyError:
+        raise ProtocolError(
+            f"unknown init_state {value!r}; expected one of {[s.name for s in State]}"
+        ) from None
+
+
+def _mapping(p: "Param", value: Any) -> Mapping[str, Any]:
+    if not isinstance(value, Mapping):
+        raise ProtocolError(f"{p.name!r} must be an object, got {type(value).__name__}")
+    return value
+
+
+@dataclass(frozen=True)
+class Param:
+    """One declared request parameter.
+
+    ``kind`` is one of the converters above, the closed set of param
+    types (``_list`` carries samples, whose values ``MachineTrace``
+    checks); ``default`` is the parsed value an absent (or null)
+    optional param takes; ``lo`` is the lower bound of an ``_int``.
+    """
+
+    name: str
+    kind: Callable[["Param", Any], Any]
+    required: bool = False
+    default: Any = None
+    lo: int = 0
+
+    def parse(self, params: Mapping[str, Any]) -> Any:
+        value = params.get(self.name)
+        if value is None:
+            if self.required:
+                raise ProtocolError(f"missing required param {self.name!r}")
+            return self.default
+        return self.kind(self, value)
+
+
+@dataclass(frozen=True)
+class OpSpec:
+    """Everything the wire, the dispatcher, the router, the clients and
+    ``repro query`` need to know about one op."""
+
+    name: str
+    #: Protocol version that introduced the op.
+    since: int
+    #: Declared params, in the order clients put them on the wire;
+    #: params a request carries beyond these are ignored.
+    params: tuple[Param, ...] = ()
+    #: How the cluster router serves the op: ``local`` (answered by the
+    #: receiving process), ``single`` (the key's owner, with failover),
+    #: ``scatter`` (every live node, merged), ``write`` (all owners of
+    #: the key, under a quorum) or ``broadcast`` (a scatter without the
+    #: shard report).
+    route: str = "local"
+    #: Routing key of ``single``/``write`` ops: a param name, or a dotted
+    #: path into a mapping param.  Job keys shard apart from machines.
+    key: str | None = None
+    #: Name of the ``repro.cluster.router`` function merging the nodes'
+    #: answers of a ``scatter``/``broadcast`` op.
+    merge: str | None = None
+    #: Op the router scatters instead, when merging needs other answers.
+    scatter_as: str | None = None
+    #: Dispatcher component the op needs (``sched`` or ``adapt``).
+    gate: str | None = None
+
+    def parse(self, params: Mapping[str, Any]) -> dict[str, Any]:
+        """Validated, typed values of every declared param."""
+        return {p.name: p.parse(params) for p in self.params}
+
+
+_WINDOW = (
+    Param("start_hour", _finite, required=True),
+    Param("hours", _positive, required=True),
+    Param("day_type", _day_type, default=DayType.WEEKDAY),
+)
+_MACHINE = Param("machine", _str, required=True)
+_JOB = Param("job", _str, required=True)
+_FLEET = (Param("machines", _str_list), Param("missing_ok", _bool, default=False))
+_SAMPLES = (
+    _MACHINE,
+    Param("start_time", _finite, default=0.0),
+    Param("sample_period", _positive, required=True),
+    Param("load", _list, required=True),
+    Param("free_mem_mb", _list),
+    Param("up", _list),
+)
+
+#: Every op of the current protocol version.
+OP_SPECS: dict[str, OpSpec] = {spec.name: spec for spec in (
+    OpSpec("predict", 1, (*_WINDOW, _MACHINE, Param("init_state", _init_state)),
+           route="single", key="machine"),
+    OpSpec("rank", 1, _WINDOW, route="scatter", merge="merge_rank"),
+    OpSpec("select", 1, (*_WINDOW, Param("k", _int, default=1, lo=1)),
+           route="scatter", merge="merge_select", scatter_as="rank"),
+    OpSpec("horizon", 1,
+           (*_WINDOW, _MACHINE, Param("tr_threshold", _finite, default=0.9)),
+           route="single", key="machine"),
+    OpSpec("register", 1, _SAMPLES, route="write", key="machine"),
+    OpSpec("health", 1),
+    OpSpec("extend", 2, _SAMPLES, route="write", key="machine"),
+    OpSpec("quality", 3, (Param("machine", _str),),
+           route="scatter", merge="merge_quality"),
+    OpSpec("submit", 5, (
+        _JOB,
+        Param("total_cpu_seconds", _positive, required=True),
+        Param("cpu", _positive, default=1.0),
+        Param("mem_mb", _finite, default=64.0),
+        Param("checkpoint_interval_s", _positive),
+    ), route="single", key="job", gate="sched"),
+    OpSpec("job_status", 5, (_JOB,), route="single", key="job", gate="sched"),
+    OpSpec("cancel", 5, (_JOB,), route="write", key="job", gate="sched"),
+    OpSpec("jobs", 5, route="scatter", merge="merge_jobs", gate="sched"),
+    OpSpec("replace", 5, (
+        Param("machines", _str_list, required=True),
+        Param("reason", _str, default="node_down"),
+        Param("restore", _bool, default=False),
+    ), route="broadcast", merge="merge_replace", gate="sched"),
+    OpSpec("job_put", 5, (Param("record", _mapping, required=True),),
+           route="write", key="record.job", gate="sched"),
+    OpSpec("tail", 6, (_MACHINE, Param("n", _int, default=10)),
+           route="single", key="machine"),
+    OpSpec("predict_batch", 7, (*_WINDOW, *_FLEET),
+           route="scatter", merge="merge_predict_batch"),
+    OpSpec("fleet_scan", 7,
+           (*_WINDOW, *_FLEET, Param("horizons_hours", _positive_list)),
+           route="scatter", merge="merge_fleet_scan"),
+    OpSpec("adapt_status", 8, (Param("machine", _str),),
+           route="scatter", merge="merge_adapt_status"),
+    OpSpec("adapt_retune", 8, (_MACHINE, Param("trigger", _str, default="manual")),
+           route="write", key="machine", gate="adapt"),
+    OpSpec("adapt_promote", 8, (_MACHINE, Param("force", _bool, default=False)),
+           route="write", key="machine", gate="adapt"),
+)}
+
+#: The op set of each protocol version.  A server validates a request's
+#: op against the *request's* version, so an old client is never
+#: answered with an op it cannot know about, and a new client talking
+#: to an old server gets a structured "unsupported version" error
+#: rather than a dropped connection.
+OPS_BY_VERSION: dict[int, frozenset[str]] = {
+    version: frozenset(s.name for s in OP_SPECS.values() if s.since <= version)
+    for version in range(1, PROTOCOL_VERSION + 1)
+}
+
+#: Versions this build can answer.
+SUPPORTED_VERSIONS: frozenset[int] = frozenset(OPS_BY_VERSION)
+
+#: The full op set of the current version.
+OPS: frozenset[str] = OPS_BY_VERSION[PROTOCOL_VERSION]
+
+
+def min_version(op: str) -> int:
+    """The lowest protocol version that includes ``op``.
+
+    Clients send each request at this version so they stay compatible
+    with older servers for ops those servers already speak.
+    """
+    try:
+        return OP_SPECS[op].since
+    except KeyError:
+        raise ProtocolError(
+            f"unknown op {op!r}; v{PROTOCOL_VERSION} ops: {', '.join(sorted(OPS))}"
+        ) from None
+
+
 def _encode(obj: Mapping[str, Any]) -> bytes:
     return json.dumps(obj, separators=(",", ":")).encode("utf-8") + b"\n"
 
 
 def _decode_line(line: bytes | str) -> dict[str, Any]:
-    if isinstance(line, bytes):
-        line = line.decode("utf-8")
     try:
+        if isinstance(line, bytes):
+            line = line.decode("utf-8")
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ProtocolError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ProtocolError(f"expected a JSON object, got {type(obj).__name__}")
@@ -214,9 +389,11 @@ class Request:
                 f"unknown op {self.op!r}; v{self.version} ops: "
                 f"{', '.join(sorted(version_ops))}"
             )
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
+        if self.deadline_ms is not None and not (
+            0 < self.deadline_ms < math.inf
+        ):
             raise ProtocolError(
-                f"deadline_ms must be positive, got {self.deadline_ms}"
+                f"deadline_ms must be positive and finite, got {self.deadline_ms}"
             )
         if self.trace is not None:
             if not isinstance(self.trace, Mapping):
@@ -252,8 +429,13 @@ class Request:
         if not isinstance(params, Mapping):
             raise ProtocolError(f"'params' must be an object, got {type(params).__name__}")
         deadline = obj.get("deadline_ms")
-        if deadline is not None and not isinstance(deadline, (int, float)):
+        if deadline is not None and (
+            isinstance(deadline, bool) or not isinstance(deadline, (int, float))
+        ):
             raise ProtocolError(f"'deadline_ms' must be a number, got {deadline!r}")
+        version = obj.get("v", PROTOCOL_VERSION)
+        if isinstance(version, bool) or not isinstance(version, int):
+            raise ProtocolError(f"'v' must be an integer version, got {version!r}")
         trace = obj.get("trace")
         if trace is not None and not isinstance(trace, Mapping):
             raise ProtocolError(f"'trace' must be an object, got {type(trace).__name__}")
@@ -262,7 +444,7 @@ class Request:
             params=params,
             id=str(obj.get("id", "")),
             deadline_ms=None if deadline is None else float(deadline),
-            version=int(obj.get("v", PROTOCOL_VERSION)),
+            version=version,
             trace=trace,
         )
 

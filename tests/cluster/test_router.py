@@ -5,6 +5,8 @@ Everything here runs against real sockets but in-process backends (see
 against the backends' ``AvailabilityService`` state directly.
 """
 
+import json
+
 import pytest
 
 from repro.core.windows import ClockWindow, DayType
@@ -187,3 +189,27 @@ class TestRouterHealth:
             resp = json.loads(f.readline())
             assert resp["status"] == "ok"
             assert resp["id"] == "x"
+
+
+class TestMalformedRequests:
+    def test_bad_envelopes_get_protocol_errors(self, harness):
+        from tests.serve.test_op_table import (
+            BAD_ENVELOPES, assert_refused_then_served, raw_exchange,
+        )
+
+        answers = raw_exchange(
+            harness.port, BAD_ENVELOPES + [b'{"v":1,"id":"h","op":"health"}']
+        )
+        assert_refused_then_served(answers)
+
+    def test_malformed_scatter_params_refused_before_fan_out(self, harness):
+        from tests.serve.test_op_table import raw_exchange
+
+        register_all(harness)
+        (answer,) = raw_exchange(harness.port, [json.dumps({
+            "v": 1, "id": "s1", "op": "select",
+            "params": {"start_hour": 9, "hours": 2, "k": "a"},
+        }).encode()])
+        assert answer["id"] == "s1"
+        assert answer["error"]["type"] == "ProtocolError"
+        assert "'k'" in answer["error"]["message"]

@@ -213,3 +213,54 @@ class TestMetricsSnapshot:
         captured = capsys.readouterr()
         assert "no snapshot" in captured.err
         assert "tr_query_latency_seconds" in captured.out
+
+
+class TestSchedAgainstServerWithoutScheduler:
+    """The server refuses every scheduling op; each sched command must
+    report that in one stderr line and exit 1, not raise a traceback."""
+
+    @pytest.fixture(scope="class")
+    def port(self):
+        from repro.service import AvailabilityService
+        from tests.serve.test_server import ServerThread
+
+        srv = ServerThread(AvailabilityService())
+        yield srv.port
+        srv.stop()
+
+    @pytest.mark.parametrize("argv", [
+        ["submit", "--job", "j1", "--cpu-seconds", "60"],
+        ["status"],
+        ["status", "--job", "j1"],
+        ["watch", "--count", "1"],
+        ["drain", "lab-00"],
+    ])
+    def test_refusal_is_one_stderr_line(self, port, argv, capsys):
+        rc = main(["sched", *argv[:1], "--port", str(port), *argv[1:]])
+        assert rc == 1
+        captured = capsys.readouterr()
+        if argv[0] == "drain":  # prints the raw error response it got
+            assert json.loads(captured.out)["error"]["type"] == "SchedulerDisabled"
+        else:
+            assert captured.err.count("\n") == 1
+            assert "refused the request" in captured.err
+            assert "SchedulerDisabled" in captured.err
+
+
+class TestQueryOpsFromTheTable:
+    def test_choices_are_the_ops_the_flags_can_express(self, capsys):
+        from repro.cli import _query_ops
+
+        ops = _query_ops()
+        for name in ("predict", "rank", "select", "horizon", "health",
+                     "register", "extend", "quality", "adapt_status",
+                     "predict_batch", "fleet_scan"):
+            assert name in ops
+        # No flag supplies a job id, so the job-keyed ops are not offered.
+        with pytest.raises(SystemExit):
+            main(["query", "submit", "--port", "1"])
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_trace_ops_require_trace(self, capsys):
+        assert main(["query", "extend", "--port", "1"]) == 2
+        assert "--trace is required" in capsys.readouterr().err
