@@ -14,7 +14,7 @@ def incremental():
     return IncrementalPredictor(config=EstimatorConfig(step_multiple=10))
 
 
-WINDOWS = [(2, 1.0), (8, 2.0), (11, 3.0), (14, 5.0), (20, 10.0)]
+WINDOWS = [(2, 1.0), (8, 2.0), (11, 3.0), (12, 1.0), (14, 5.0), (20, 10.0)]
 
 
 class TestEquivalenceWithBatch:
@@ -42,7 +42,7 @@ class TestEquivalenceWithBatch:
         batch = TemporalReliabilityPredictor(
             long_trace, estimator_config=EstimatorConfig(step_multiple=10)
         )
-        for h in (2, 9, 14):
+        for h in (2, 9, 12, 14):
             cw = ClockWindow.from_hours(h, 2)
             assert incremental.typical_initial_state(
                 long_trace, cw, DayType.WEEKDAY

@@ -190,3 +190,32 @@ class TestReliableHorizon:
             for th in (0.5, 0.9, 0.99)
         ]
         assert hs[0] >= hs[1] >= hs[2]
+
+
+class TestServedMatchesBatch:
+    """Every TR the service serves is the batch predictor's TR.
+
+    The service runs at ``step_multiple=10``, where the typical window-start
+    state must be read from the same coarsened chain the kernel is estimated
+    from; reading it from the raw samples instead made the two paths
+    disagree on about one window in forty.
+    """
+
+    def test_half_hourly_windows_on_a_testbed(self):
+        from repro.traces.synthesis import synthesize_testbed
+
+        traces = list(synthesize_testbed(6, n_days=15, sample_period=6.0, seed=3))
+        service = AvailabilityService()
+        for trace in traces:
+            service.register(trace)
+        mismatched = []
+        for trace in traces:
+            batch = TemporalReliabilityPredictor(trace, estimator_config=service.config)
+            for half_hours in range(48):
+                cw = ClockWindow.from_hours(half_hours / 2.0, 2.0)
+                for dtype in (DayType.WEEKDAY, DayType.WEEKEND):
+                    served = service.predict(trace.machine_id, cw, dtype)
+                    expected = batch.predict(cw, dtype)
+                    if abs(served - expected) > 1e-12:
+                        mismatched.append((trace.machine_id, half_hours / 2.0, dtype))
+        assert mismatched == []
