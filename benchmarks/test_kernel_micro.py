@@ -83,14 +83,14 @@ def test_fleet_solve_speed_100(benchmark, fleet_100):
 def test_fleet_kernel_tensors_stay_contiguous(fleet_100):
     """The stacked tensors must be owned, C-contiguous float64.
 
-    ``solve_fleet`` slices these every step of the recursion; a silent
-    regression to a strided view (e.g. dropping ``ascontiguousarray``
-    from the reversed rows) would force numpy to copy per matmul call.
+    ``solve_fleet`` slices ``coupling`` and ``direct`` every step of the
+    recursion; a silent regression to a strided view (e.g. dropping the
+    copy of the reversed rows) would force numpy to copy per matmul call.
     This guard fails loudly instead.
     """
     fleet, inits = fleet_100
     solve_fleet(fleet, inits)  # a solve must not perturb the tensors
-    for name in ("k", "k12r", "k21r", "c1", "c2"):
+    for name in ("k", "coupling", "direct"):
         arr = getattr(fleet, name)
         assert arr.flags["C_CONTIGUOUS"], f"{name} lost C-contiguity"
         assert arr.dtype == np.float64, f"{name} is {arr.dtype}, not float64"

@@ -104,8 +104,7 @@ def run(scale: str = "quick", *, seed: int = 0) -> ExperimentResult:
                 data.test[mid], data.classifier, cw, DayType.WEEKDAY,
                 step_multiple=data.step_multiple,
             )
-            kern = predictor.kernel(cw, DayType.WEEKDAY)
-            init = predictor.estimator.typical_initial_state(
+            kern, init = predictor.estimator.kernel_and_init(
                 data.train[mid], cw, DayType.WEEKDAY
             )
             t0 = time.perf_counter()

@@ -58,6 +58,7 @@ from repro.serve.protocol import (
     Response,
     min_version,
 )
+from repro.serve.server import serve_lines
 
 __all__ = ["RouterConfig", "ClusterRouter"]
 
@@ -419,48 +420,15 @@ class ClusterRouter:
             await self._server.serve_forever()
 
     # ------------------------------------------------------------------ #
-    # connection handling (same framing discipline as ServeServer)
+    # connection handling (framing shared with ServeServer)
     # ------------------------------------------------------------------ #
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        write_lock = asyncio.Lock()
-        pending: set[asyncio.Task] = set()
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                t = asyncio.ensure_future(self._answer(line, writer, write_lock))
-                pending.add(t)
-                t.add_done_callback(pending.discard)
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-        except (asyncio.CancelledError, ConnectionResetError):
-            pass
-        finally:
-            for t in pending:
-                t.cancel()
-            if task is not None:
-                self._conn_tasks.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-                pass
+        await serve_lines(reader, writer, self._answer, self._conn_tasks)
 
-    async def _answer(
-        self, line: bytes, writer: asyncio.StreamWriter, write_lock: asyncio.Lock
-    ) -> None:
+    async def _answer(self, line: bytes) -> Response:
         t0 = time.perf_counter()
         op = "invalid"
         request_id = ""
@@ -485,14 +453,7 @@ class ClusterRouter:
             response = replace(
                 response, elapsed_ms=(time.perf_counter() - t0) * 1e3
             )
-        async with write_lock:
-            if writer.is_closing():
-                return
-            writer.write(response.encode())
-            try:
-                await writer.drain()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
+        return response
 
     # ------------------------------------------------------------------ #
     # routing

@@ -19,17 +19,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core import windows as win
 from repro.core.classifier import ClassifierConfig, StateClassifier
 from repro.core.estimator import EstimatorConfig, WindowedKernelEstimator
-from repro.core.smp import (
-    SmpKernel,
-    kernel_from_observations,
-    temporal_reliability,
-    temporal_reliability_profile,
-)
+from repro.core.smp import SmpKernel, temporal_reliability, temporal_reliability_profile
 from repro.core.states import State
 from repro.core.windows import AbsoluteWindow, ClockWindow, DayType
 from repro.obs.instruments import instrument
@@ -90,17 +83,9 @@ class TemporalReliabilityPredictor:
 
     # ------------------------------------------------------------------ #
 
-    def _resolve(self, window, dtype: DayType | None) -> tuple[ClockWindow, DayType]:
-        if isinstance(window, AbsoluteWindow):
-            return window.clock_window(), (dtype or window.day_type)
-        if dtype is None:
-            raise ValueError("a ClockWindow requires an explicit day type")
-        return window, dtype
-
     def kernel(self, window, dtype: DayType | None = None) -> SmpKernel:
         """Estimate the SMP kernel for a window without solving it."""
-        clock, dt = self._resolve(window, dtype)
-        return self.estimator.estimate(self.history, clock, dt)
+        return self.estimator.estimate(self.history, window, dtype)
 
     def predict_detailed(
         self,
@@ -115,32 +100,23 @@ class TemporalReliabilityPredictor:
         start time across the history is used (the scheduler-side
         fallback).  A failure initial state yields TR = 0.
         """
-        clock, dt = self._resolve(window, dtype)
+        clock, dt = win.resolve(window, dtype)
         t0 = time.perf_counter()
-        obs = self.estimator.observations(self.history, clock, dt)
-        step = self.estimator.step(self.history)
-        horizon = win.n_steps(clock.duration, step)
-        kernel = kernel_from_observations(
-            obs,
-            horizon,
-            step,
-            censoring=self.estimator.config.censoring,
-            laplace=self.estimator.config.laplace,
-        )
-        t1 = time.perf_counter()
+        records = self.estimator.day_records(self.history, clock, dt)
+        kernel, typical = self.estimator.pool(self.history, clock, records)
         if init_state is None:
-            init_state = self.estimator.typical_initial_state(self.history, clock, dt)
+            init_state = typical
+        t1 = time.perf_counter()
         tr = temporal_reliability(kernel, init_state)
         t2 = time.perf_counter()
         instrument("tr_query_latency_seconds").labels(path="batch").observe(t2 - t0)
-        n_days = len(self.estimator.history_days(self.history, clock, dt))
         return PredictionResult(
             tr=tr,
             init_state=State(init_state),
-            n_history_days=n_days,
-            n_observations=len(obs),
-            horizon=horizon,
-            step=step,
+            n_history_days=len(records),
+            n_observations=sum(len(r.observations) for r in records),
+            horizon=kernel.horizon,
+            step=kernel.step,
             estimation_seconds=t1 - t0,
             solve_seconds=t2 - t1,
         )
@@ -167,11 +143,11 @@ class TemporalReliabilityPredictor:
         one recursion answer every job length up to the window — see
         :func:`repro.core.smp.temporal_reliability_profile`.
         """
-        clock, dt = self._resolve(window, dtype)
-        kernel = self.estimator.estimate(self.history, clock, dt)
-        if init_state is None:
-            init_state = self.estimator.typical_initial_state(self.history, clock, dt)
-        return temporal_reliability_profile(kernel, init_state), kernel.step
+        kernel, typical = self.estimator.kernel_and_init(self.history, window, dtype)
+        profile = temporal_reliability_profile(
+            kernel, typical if init_state is None else init_state
+        )
+        return profile, kernel.step
 
 
 def max_reliable_horizon(

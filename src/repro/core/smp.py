@@ -43,9 +43,10 @@ right-censored.  Two censoring treatments are provided:
 
 Solution
 --------
-:func:`failure_probabilities` implements paper Eq. 3: the mutual recursion
+:func:`eq3_recursion` implements paper Eq. 3: the mutual recursion
 between ``P_{1,j}(m)`` and ``P_{2,j}(m)`` for the three failure targets
-``j``, vectorized over ``j`` and over the convolution with NumPy dots.
+``j``, over a stack of kernels (one for the scalar solvers, a whole fleet
+for :func:`repro.fleet.solve_fleet`), one batched ``matmul`` per step.
 The arithmetic cost is ``O((T/d)^2)`` — the paper observes the measured
 superlinear growth (exponent ~1.85) in its Fig. 4, which our Fig. 4 bench
 reproduces.  :func:`failure_probabilities_dense` is an intentionally
@@ -73,6 +74,8 @@ __all__ = [
     "collect_observations",
     "estimate_kernel",
     "kernel_from_observations",
+    "eq3_operands",
+    "eq3_recursion",
     "failure_probabilities",
     "temporal_reliability",
     "temporal_reliability_profile",
@@ -402,47 +405,79 @@ def _kernel_km(obs: Sequence[VisitObservation], horizon: int, laplace: float) ->
 # ---------------------------------------------------------------------- #
 
 
+_ROW_12 = SLOT_INDEX[(1, 2)]
+_ROW_21 = SLOT_INDEX[(2, 1)]
+_ROWS_FAIL = tuple(tuple(SLOT_INDEX[(src, j)] for j in _FAILURE_TARGETS) for src in (1, 2))
+
+
+def eq3_operands(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The two tensors :func:`eq3_recursion` slices, from ``(M, 8, H+1)`` kernels.
+
+    ``coupling[s, i, 0, H - l]`` is machine *i*'s ``K_{1,2}(l)`` (``s = 0``)
+    or ``K_{2,1}(l)`` (``s = 1``), reversed in time so that every step's
+    convolution reads a positive-stride slice.  ``direct[m, s, i, j]`` is
+    the cumulative direct-to-failure mass ``sum_{l<=m} K_{s+1,3+j}(l)``.
+    Both are owned C-contiguous float64 copies.
+    """
+    coupling = np.array(k[:, (_ROW_12, _ROW_21), None, ::-1].transpose(1, 0, 2, 3), order="C")
+    direct = np.array(np.cumsum(k[:, _ROWS_FAIL, :], axis=3).transpose(3, 1, 0, 2), order="C")
+    return coupling, direct
+
+
+def eq3_recursion(coupling: np.ndarray, direct: np.ndarray) -> np.ndarray:
+    """Paper Eq. 3 for a stack of ``M`` kernels: the one Eq.-3 solver.
+
+    Runs the mutual recursion ::
+
+        P_1(m) = C_1(m) + sum_{i=1}^{m-1} K_{1,2}(m - i) P_2(i)
+        P_2(m) = C_2(m) + sum_{i=1}^{m-1} K_{2,1}(m - i) P_1(i)
+
+    over the operands of :func:`eq3_operands`.  Returns ``p`` of shape
+    ``(2, M, H+1, 3)`` with ``p[s, i, m]`` the unclipped
+    ``[P_{s+1,3}, P_{s+1,4}, P_{s+1,5}](m)`` of machine *i*.  Each source
+    state's convolution reads the other state's probabilities, so the
+    coupled operand is ``p`` reversed along its source axis, and each step
+    is one batched ``matmul`` over both sources and all machines.
+    """
+    h = direct.shape[0] - 1
+    p = np.zeros((2, direct.shape[2], h + 1, 3))
+    coupled = p[::-1]
+    for m in range(1, h + 1):
+        conv = np.matmul(coupling[..., h - m + 1 : h], coupled[:, :, 1:m])
+        np.add(direct[m], conv[:, :, 0], out=p[:, :, m])
+    return p
+
+
+def _check_init(init_state: State | int) -> int:
+    init = int(init_state)
+    if init not in (1, 2, 3, 4, 5):
+        raise ValueError(f"init_state must be one of S1..S5, got {init_state!r}")
+    return init
+
+
+def _solve(kernel: SmpKernel, init: int) -> np.ndarray:
+    """Unclipped ``P_{init,j}(m)`` for ``m = 0..horizon``, shape ``(horizon+1, 3)``."""
+    t0 = time.perf_counter()
+    p = eq3_recursion(*eq3_operands(kernel.k[None]))
+    instrument("smp_solve_seconds").observe(time.perf_counter() - t0)
+    return p[init - 1, 0]
+
+
 def failure_probabilities(kernel: SmpKernel, init_state: State | int) -> np.ndarray:
     """Interval failure probabilities ``P_{init,j}(horizon)`` for j = 3,4,5.
 
-    Implements the sparse mutual recursion of paper Eq. 3.  Returns an
-    array ``[P_{init,3}, P_{init,4}, P_{init,5}]`` evaluated at the
-    kernel's horizon.  For a failure ``init_state`` the corresponding
+    Returns an array ``[P_{init,3}, P_{init,4}, P_{init,5}]`` evaluated at
+    the kernel's horizon.  For a failure ``init_state`` the corresponding
     entry is 1 (the process is already there) per the boundary condition
     ``P_{i,j}(0) = delta_{ij}``.
     """
-    init = int(init_state)
-    n = kernel.horizon
-    if init in (3, 4, 5):
+    init = _check_init(init_state)
+    if init >= 3:
         out = np.zeros(3)
         out[init - 3] = 1.0
         return out
-    if init not in (1, 2):
-        raise ValueError(f"init_state must be one of S1..S5, got {init_state!r}")
-
-    t0 = time.perf_counter()
-    k12 = kernel.slot(1, 2)
-    k21 = kernel.slot(2, 1)
-    # Direct-to-failure cumulative mass: C_i[j, m] = sum_{l<=m} K_{i,j}(l).
-    c1 = np.cumsum(np.stack([kernel.slot(1, j) for j in _FAILURE_TARGETS]), axis=1)
-    c2 = np.cumsum(np.stack([kernel.slot(2, j) for j in _FAILURE_TARGETS]), axis=1)
-
-    # p1[m, j], p2[m, j] built stepwise; the convolution term couples them.
-    p1 = np.zeros((n + 1, 3))
-    p2 = np.zeros((n + 1, 3))
-    for m in range(1, n + 1):
-        if m > 1:
-            # sum_{l=1}^{m-1} K_{1,2}(l) P_{2,j}(m-l)  — vectorized over j.
-            conv1 = k12[1:m] @ p2[m - 1 : 0 : -1]
-            conv2 = k21[1:m] @ p1[m - 1 : 0 : -1]
-        else:
-            conv1 = conv2 = 0.0
-        p1[m] = c1[:, m] + conv1
-        p2[m] = c2[:, m] + conv2
-    result = p1[n] if init == 1 else p2[n]
-    instrument("smp_solve_seconds").observe(time.perf_counter() - t0)
     # Probabilities of disjoint absorbing events; clip tiny FP excursions.
-    return np.clip(result, 0.0, 1.0)
+    return np.clip(_solve(kernel, init)[-1], 0.0, 1.0)
 
 
 def temporal_reliability(kernel: SmpKernel, init_state: State | int) -> float:
@@ -462,32 +497,12 @@ def temporal_reliability_profile(kernel: SmpKernel, init_state: State | int) -> 
 
     For a failure ``init_state`` the profile is 0 beyond m = 0.
     """
-    init = int(init_state)
-    n = kernel.horizon
-    if init in (3, 4, 5):
-        out = np.zeros(n + 1)
+    init = _check_init(init_state)
+    if init >= 3:
+        out = np.zeros(kernel.horizon + 1)
         out[0] = 1.0
         return out
-    if init not in (1, 2):
-        raise ValueError(f"init_state must be one of S1..S5, got {init_state!r}")
-    t0 = time.perf_counter()
-    k12 = kernel.slot(1, 2)
-    k21 = kernel.slot(2, 1)
-    c1 = np.cumsum(np.stack([kernel.slot(1, j) for j in _FAILURE_TARGETS]), axis=1)
-    c2 = np.cumsum(np.stack([kernel.slot(2, j) for j in _FAILURE_TARGETS]), axis=1)
-    p1 = np.zeros((n + 1, 3))
-    p2 = np.zeros((n + 1, 3))
-    for m in range(1, n + 1):
-        if m > 1:
-            conv1 = k12[1:m] @ p2[m - 1 : 0 : -1]
-            conv2 = k21[1:m] @ p1[m - 1 : 0 : -1]
-        else:
-            conv1 = conv2 = 0.0
-        p1[m] = c1[:, m] + conv1
-        p2[m] = c2[:, m] + conv2
-    fail = (p1 if init == 1 else p2).sum(axis=1)
-    instrument("smp_solve_seconds").observe(time.perf_counter() - t0)
-    return np.clip(1.0 - fail, 0.0, 1.0)
+    return np.clip(1.0 - _solve(kernel, init).sum(axis=1), 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------- #

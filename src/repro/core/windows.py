@@ -38,6 +38,7 @@ __all__ = [
     "days_of_type",
     "ClockWindow",
     "AbsoluteWindow",
+    "resolve",
     "n_steps",
 ]
 
@@ -208,6 +209,21 @@ class AbsoluteWindow:
                 yield d
                 found += 1
             d -= 1
+
+
+def resolve(
+    window: ClockWindow | AbsoluteWindow, dtype: DayType | None = None
+) -> tuple[ClockWindow, DayType]:
+    """The recurring ``(clock window, day type)`` a query asks about.
+
+    An absolute window supplies its own clock window and, unless ``dtype``
+    overrides it, its start day's type; a clock window needs ``dtype``.
+    """
+    if isinstance(window, AbsoluteWindow):
+        return window.clock_window(), dtype or window.day_type
+    if dtype is None:
+        raise ValueError("a ClockWindow requires an explicit day type")
+    return window, dtype
 
 
 def n_steps(duration: float, step: float) -> int:

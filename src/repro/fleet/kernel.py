@@ -1,27 +1,14 @@
 """Batched Eq.-3 solver over a stacked fleet of SMP kernels.
 
-The scalar solver (:func:`repro.core.smp.failure_probabilities`) runs
-the mutual recursion
-
-    P_1(m) = C_1(m) + sum_{l=1}^{m-1} K_{1,2}(l) P_2(m-l)
-    P_2(m) = C_2(m) + sum_{l=1}^{m-1} K_{2,1}(l) P_1(m-l)
-
-one machine at a time — ``O(horizon^2)`` Python-loop iterations per
-machine, times N machines for every rank/select/scheduler decision.
-
 :class:`FleetKernel` stacks the per-machine kernels into a single
 C-contiguous ``(M, 8, H+1)`` float64 tensor (zero-padded to the longest
-horizon) and :func:`solve_fleet` runs the recursion once for the whole
-fleet: substituting ``i = m - l`` turns the convolution into
-
-    conv_1(m) = sum_{i=1}^{m-1} K_{1,2}(m - i) P_2(i)
-              = K_{1,2}^rev[H-m+1 : H] . P_2[1 : m]
-
-where ``K^rev[j] = K[H - j]`` is the *reversed* kernel row, precomputed
-as a contiguous copy at construction.  Both slices are positive-stride
-views, so each of the H time steps is exactly two batched ``matmul``
-calls over all M machines — the Python loop cost is amortized M-fold,
-and the inner products run in BLAS.
+horizon) and precomputes, once, the operands that
+:func:`repro.core.smp.eq3_recursion` slices every step.  :func:`solve_fleet`
+then runs that recursion — the same one the scalar solvers run on a
+stack of one — for the whole fleet at once: each of the H time steps is
+one batched ``matmul`` over both source states and all M machines, so
+the Python loop cost is amortized M-fold and the inner products run in
+BLAS.
 
 Padding is harmless: at step ``m <= h_i`` the recursion only reads
 kernel entries ``l <= m``, all inside machine *i*'s real horizon, so the
@@ -47,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.smp import SLOT_INDEX, SLOTS, SmpKernel
+from repro.core.smp import SLOTS, SmpKernel, eq3_operands, eq3_recursion
 from repro.obs.instruments import instrument
 
 __all__ = [
@@ -58,14 +45,6 @@ __all__ = [
     "fleet_temporal_reliability",
     "fleet_reliability_profiles",
 ]
-
-#: Failure-target column order, matching core.smp: S3, S4, S5.
-_FAILURE_TARGETS = (3, 4, 5)
-
-_ROW_12 = SLOT_INDEX[(1, 2)]
-_ROW_21 = SLOT_INDEX[(2, 1)]
-_ROWS_1F = tuple(SLOT_INDEX[(1, j)] for j in _FAILURE_TARGETS)
-_ROWS_2F = tuple(SLOT_INDEX[(2, j)] for j in _FAILURE_TARGETS)
 
 
 class FleetKernel:
@@ -81,22 +60,13 @@ class FleetKernel:
         zero-padded to the longest horizon and their results read out at
         their own horizon index.
 
-    All derived tensors (the stack, the reversed convolution rows, the
-    cumulative direct-to-failure mass) are C-contiguous float64 copies
-    built once here, so :func:`solve_fleet` performs no per-call copies.
+    The stack ``k`` and the recursion operands ``coupling`` and ``direct``
+    (see :func:`~repro.core.smp.eq3_operands`) are C-contiguous float64
+    copies built once here, so :func:`solve_fleet` performs no per-call
+    copies.
     """
 
-    __slots__ = (
-        "machine_ids",
-        "k",
-        "horizons",
-        "steps",
-        "k12r",
-        "k21r",
-        "c1",
-        "c2",
-        "_index",
-    )
+    __slots__ = ("machine_ids", "k", "horizons", "steps", "coupling", "direct", "_index")
 
     def __init__(
         self, machine_ids: Sequence[str], kernels: Sequence[SmpKernel]
@@ -117,21 +87,10 @@ class FleetKernel:
         self._index = {mid: i for i, mid in enumerate(ids)}
         self.horizons = np.array([k.horizon for k in kernels], dtype=np.int64)
         self.steps = np.array([k.step for k in kernels], dtype=np.float64)
-        m, h = len(ids), int(self.horizons.max())
-        stack = np.zeros((m, len(SLOTS), h + 1), dtype=np.float64)
+        self.k = np.zeros((len(ids), len(SLOTS), int(self.horizons.max()) + 1))
         for i, kern in enumerate(kernels):
-            stack[i, :, : kern.horizon + 1] = kern.k
-        self.k = np.ascontiguousarray(stack, dtype=np.float64)
-        # Reversed convolution rows and cumulative failure mass, copied
-        # contiguous once so the solve loop never re-materializes them.
-        self.k12r = np.ascontiguousarray(self.k[:, _ROW_12, ::-1])
-        self.k21r = np.ascontiguousarray(self.k[:, _ROW_21, ::-1])
-        self.c1 = np.ascontiguousarray(
-            np.cumsum(self.k[:, _ROWS_1F, :], axis=2)
-        )
-        self.c2 = np.ascontiguousarray(
-            np.cumsum(self.k[:, _ROWS_2F, :], axis=2)
-        )
+            self.k[i, :, : kern.horizon + 1] = kern.k
+        self.coupling, self.direct = eq3_operands(self.k)
 
     def __len__(self) -> int:
         return len(self.machine_ids)
@@ -187,34 +146,21 @@ def solve_fleet(fleet: FleetKernel, init_states) -> FleetSolution:
     ``init_states`` is one :class:`~repro.core.states.State` (or int) per
     machine in stacking order.  Per machine the result equals the scalar
     :func:`~repro.core.smp.failure_probabilities` /
-    :func:`~repro.core.smp.temporal_reliability_profile` pair to within
-    1e-9 (the convolution is summed in reversed order, so the last ulp
-    may differ; property tests pin the bound).
+    :func:`~repro.core.smp.temporal_reliability_profile` pair: both run
+    :func:`~repro.core.smp.eq3_recursion`, and property tests pin the
+    agreement at 1e-9.
     """
     inits = _validate_inits(fleet, init_states)
     t0 = time.perf_counter()
     m_count, h = len(fleet), fleet.max_horizon
-    p1 = np.zeros((m_count, h + 1, 3))
-    p2 = np.zeros((m_count, h + 1, 3))
-    operational = (inits == 1) | (inits == 2)
-    if np.any(operational):
-        k12r = fleet.k12r[:, None, :]
-        k21r = fleet.k21r[:, None, :]
-        c1 = fleet.c1
-        c2 = fleet.c2
-        for m in range(1, h + 1):
-            if m > 1:
-                # One batched matmul per source state: (M,1,m-1)@(M,m-1,3).
-                conv1 = np.matmul(k12r[:, :, h - m + 1 : h], p2[:, 1:m, :])[:, 0, :]
-                conv2 = np.matmul(k21r[:, :, h - m + 1 : h], p1[:, 1:m, :])[:, 0, :]
-                p1[:, m, :] = c1[:, :, m] + conv1
-                p2[:, m, :] = c2[:, :, m] + conv2
-            else:
-                p1[:, 1, :] = c1[:, :, 1]
-                p2[:, 1, :] = c2[:, :, 1]
-    p_own = np.where((inits == 1)[:, None, None], p1, p2)
-
     rows = np.arange(m_count)
+    operational = inits <= 2
+    if np.any(operational):
+        p = eq3_recursion(fleet.coupling, fleet.direct)
+        p_own = p[np.where(operational, inits - 1, 0), rows]
+    else:
+        p_own = np.zeros((m_count, h + 1, 3))
+
     fail = p_own[rows, fleet.horizons, :]
     fail_sum = p_own.sum(axis=2)  # unclipped, as the scalar profile uses
     profiles = np.clip(1.0 - fail_sum, 0.0, 1.0)

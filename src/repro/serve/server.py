@@ -21,7 +21,7 @@ in-flight requests finish, then connections are closed.
 from __future__ import annotations
 
 import asyncio
-from typing import Any
+from typing import Any, Awaitable, Callable
 
 from repro.obs.events import get_event_log
 from repro.obs.instruments import instrument
@@ -34,7 +34,7 @@ from repro.serve.protocol import (
     Response,
 )
 
-__all__ = ["ServeServer"]
+__all__ = ["ServeServer", "serve_lines"]
 
 
 class ServeServer:
@@ -95,53 +95,44 @@ class ServeServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
         conn_gauge = instrument("serve_connections_open")
         conn_gauge.inc()
-        write_lock = asyncio.Lock()
-        pending: set[asyncio.Task] = set()
         try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    # Oversized line: the framing is broken beyond repair.
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                t = asyncio.ensure_future(self._answer(line, writer, write_lock))
-                pending.add(t)
-                t.add_done_callback(pending.discard)
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
-        except (asyncio.CancelledError, ConnectionResetError):
-            pass
+            await serve_lines(reader, writer, self._answer, self._conn_tasks)
         finally:
-            for t in pending:
-                t.cancel()
             conn_gauge.dec()
-            if task is not None:
-                self._conn_tasks.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-                pass
 
-    async def _answer(
-        self, line: bytes, writer: asyncio.StreamWriter, write_lock: asyncio.Lock
-    ) -> None:
+    async def _answer(self, line: bytes) -> Response:
         try:
             request = Request.decode(line)
         except ProtocolError as exc:
-            response = Response.failure("", STATUS_ERROR, "ProtocolError", str(exc))
             instrument("serve_requests_total").labels(op="invalid", status=STATUS_ERROR).inc()
-        else:
-            response = await asyncio.wrap_future(self.dispatcher.submit(request))
+            return Response.failure("", STATUS_ERROR, "ProtocolError", str(exc))
+        return await asyncio.wrap_future(self.dispatcher.submit(request))
+
+
+async def serve_lines(
+    reader: asyncio.StreamReader,
+    writer: asyncio.StreamWriter,
+    answer: Callable[[bytes], Awaitable[Response]],
+    conn_tasks: set[asyncio.Task],
+) -> None:
+    """Run one JSON-lines connection until EOF, a broken frame or cancel.
+
+    Each non-blank line is answered by ``answer`` in its own task, so a
+    connection pipelines; responses are written back in completion order
+    under one per-connection lock.  The connection's task is tracked in
+    ``conn_tasks`` while it runs so a shutdown can cancel it.  Shared by
+    :class:`ServeServer` and the cluster router.
+    """
+    task = asyncio.current_task()
+    if task is not None:
+        conn_tasks.add(task)
+    write_lock = asyncio.Lock()
+    pending: set[asyncio.Task] = set()
+
+    async def reply(line: bytes) -> None:
+        response = await answer(line)
         async with write_lock:
             if writer.is_closing():
                 return
@@ -150,3 +141,32 @@ class ServeServer:
                 await writer.drain()
             except (ConnectionResetError, BrokenPipeError):
                 pass
+
+    try:
+        while True:
+            try:
+                line = await reader.readline()
+            except (asyncio.LimitOverrunError, ValueError):
+                # Oversized line: the framing is broken beyond repair.
+                break
+            if not line:
+                break
+            if not line.strip():
+                continue
+            t = asyncio.ensure_future(reply(line))
+            pending.add(t)
+            t.add_done_callback(pending.discard)
+        if pending:
+            await asyncio.gather(*pending, return_exceptions=True)
+    except (asyncio.CancelledError, ConnectionResetError):
+        pass
+    finally:
+        for t in pending:
+            t.cancel()
+        if task is not None:
+            conn_tasks.discard(task)
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
+            pass

@@ -415,16 +415,8 @@ class AvailabilityService:
         (its duration); the answer is where the TR profile crosses the
         threshold.
         """
-        history = self._history(machine_id)
-        if isinstance(start, AbsoluteWindow):
-            clock = start.clock_window()
-            dtype = dtype or start.day_type
-        else:
-            clock = start
-            if dtype is None:
-                raise ValueError("a ClockWindow requires an explicit day type")
-        predictor = self.predictor_for(machine_id)
-        kernel = predictor.kernel(history, clock, dtype)
-        init = predictor.typical_initial_state(history, clock, dtype)
+        kernel, init = self.predictor_for(machine_id).kernel_and_init(
+            self._history(machine_id), start, dtype
+        )
         profile = temporal_reliability_profile(kernel, init)
         return max_reliable_horizon(profile, kernel.step, tr_threshold)

@@ -47,7 +47,7 @@ class TestFleetKernel:
 
     def test_all_tensors_contiguous_float64(self, rng):
         fleet = FleetKernel(["a", "b"], [random_kernel(rng, 8) for _ in range(2)])
-        for name in ("k", "k12r", "k21r", "c1", "c2"):
+        for name in ("k", "coupling", "direct"):
             arr = getattr(fleet, name)
             assert arr.flags["C_CONTIGUOUS"]
             assert arr.dtype == np.float64

@@ -132,3 +132,20 @@ class TestFleetCache:
         for h in range(1, fleet.max_windows + 3):
             service.fleet_scan(ClockWindow.from_hours(8, h), DayType.WEEKDAY)
         assert len(fleet) == fleet.max_windows
+
+
+class TestColdScanSinglePass:
+    def test_cold_scan_walks_each_machines_cache_once(self):
+        from repro.obs.instruments import instrument
+        from repro.obs.metrics import scoped_registry
+        from repro.traces.synthesis import synthesize_testbed
+
+        svc = AvailabilityService()
+        for trace in synthesize_testbed(4, n_days=14, sample_period=60.0, seed=2):
+            svc.register(trace)
+        with scoped_registry() as reg:
+            svc.fleet_scan(WINDOW, DayType.WEEKDAY)
+            # Kernel and initial state come from one pass over the cache,
+            # so a cold scan classifies every day and re-reads none.
+            assert instrument("incremental_cache_hits_total", reg).value == 0
+            assert instrument("incremental_cache_misses_total", reg).value > 0

@@ -162,7 +162,10 @@ class TestDeadlines:
             gated,
             DispatchConfig(max_workers=1, queue_depth=16, default_deadline_ms=1.0),
         )
-        blocker = d.submit(predict_req("blocker", start_hour=6.0))
+        # Only ``doomed`` relies on the 1 ms config default; the blocker
+        # gets its own long deadline so a slow worker pickup cannot
+        # expire it too.
+        blocker = d.submit(predict_req("blocker", start_hour=6.0, deadline_ms=60_000))
         doomed = d.submit(predict_req("doomed", start_hour=7.0))
         import time
 
